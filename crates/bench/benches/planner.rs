@@ -1,8 +1,8 @@
 //! Criterion bench for the capacity planner's q-frontier sweep — the
 //! tracked perf baseline (`BENCH_planner.json` at the workspace root).
 //!
-//! Each point runs a full `plan_a2a` sweep (solve + simulate + metrics for
-//! every candidate) at m ∈ {100, 1k, 10k} inputs with 32 candidates, at
+//! Each point runs a full `plan_a2a` sweep (solve + cost model for every
+//! candidate; no engine job) at m ∈ {100, 1k, 10k} inputs with 32 candidates, at
 //! `threads = 1` and `threads = 4`, so the baseline records both the
 //! absolute trajectory and the parallel speedup. On a multi-core host the
 //! threads=4 sweep is expected to be ≥2× faster at m = 10k; the JSON's

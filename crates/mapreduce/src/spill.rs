@@ -542,12 +542,14 @@ mod tests {
     /// leaves no partial file behind.
     #[test]
     fn unwritable_directory_fails_cleanly_without_litter() {
-        let dir = unique_temp_dir("missing").join("does-not-exist");
+        let parent = unique_temp_dir("missing");
+        let dir = parent.join("does-not-exist");
         let run: Vec<(usize, u64, u64)> = vec![(0, 1, 2)];
         let err = write_run(&dir, &run, 16, None).expect_err("missing dir cannot be written");
         assert!(err.path.contains("mrassign-spill-"), "{}", err.path);
         assert!(!err.source.is_empty());
         assert!(!dir.exists(), "no partial file appears");
+        std::fs::remove_dir(&parent).expect("test dir is empty again");
     }
 
     /// Satellite: `SpillFile::drop` used to swallow delete errors silently.

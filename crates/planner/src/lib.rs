@@ -4,9 +4,19 @@
 //! processors"), but its three tradeoffs make `q` a *decision*: smaller
 //! capacities buy parallelism with communication, larger ones starve the
 //! worker pool. This crate sweeps candidate capacities, builds the schema
-//! for each, executes it on the simulated cluster, and picks the best
-//! candidate under a user objective — the executable version of the
-//! paper's tradeoff discussion.
+//! for each, prices it with the simulated cluster's cost model, and picks
+//! the best candidate under a user objective — the executable version of
+//! the paper's tradeoff discussion.
+//!
+//! A schema's makespan, speedup and largest reducer load are properties of
+//! the schema and the cluster's cost model alone, so the sweep never runs
+//! an engine job. It evaluates the engine's discrete-event model directly,
+//! in time linear in the schema's replicas: one map task per input and one
+//! reduce task per nonempty reducer, each phase scheduled by the engine's
+//! own [`Schedule::lpt`]. The figures are the ones [`Job::run`] reports for
+//! the schema, bit for bit. [`execute_a2a`] and [`execute_x2y`] run a
+//! schema through the engine, and [`CandidatePlan::check_engine`] referees
+//! the two against each other.
 //!
 //! The candidates are independent, so the sweep fans out across OS threads
 //! ([`PlannerConfig::threads`], defaulting to the machine's available
@@ -41,10 +51,12 @@ use std::sync::Mutex;
 use mrassign_core::a2a::A2aAlgorithm;
 use mrassign_core::solver::AssignmentSolver;
 use mrassign_core::x2y::X2yAlgorithm;
-use mrassign_core::{bounds, InputSet, MappingSchema, SchemaError, Weight, X2yInstance, X2ySchema};
+use mrassign_core::{
+    bounds, InputId, InputSet, MappingSchema, SchemaError, Weight, X2yInstance, X2ySchema,
+};
 use mrassign_simmr::{
     ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, Job, JobMetrics, Mapper,
-    Reducer, SpillCodec,
+    Reducer, Schedule, SimError, SpillCodec, TaskCost,
 };
 
 /// What "best capacity" means.
@@ -70,7 +82,15 @@ pub enum Objective {
 /// Planner parameters.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Simulated cluster the schedule is evaluated on.
+    /// Simulated cluster the candidates are priced on. Only its cost-model
+    /// fields are read: `workers`, `map_rate`, `reduce_rate`,
+    /// `network_bandwidth` and `task_overhead`. The engine knobs (shuffle
+    /// mode, threads, faults, budgets, checkpoints) cannot move a plan, so
+    /// the planner ignores them; they matter to [`execute_a2a`] and
+    /// [`execute_x2y`].
+    ///
+    /// `workers` must be at least 1: [`Schedule::lpt`] panics on an empty
+    /// cluster.
     pub cluster: ClusterConfig,
     /// Number of capacity candidates to probe (geometric sweep).
     pub candidates: usize,
@@ -111,7 +131,7 @@ pub struct CandidatePlan {
     pub reducers: usize,
     /// Schema communication cost (weight units = bytes).
     pub communication: u128,
-    /// Simulated end-to-end makespan (seconds).
+    /// Simulated end-to-end makespan (seconds): map + shuffle + reduce.
     pub makespan: f64,
     /// Speedup over serial execution.
     pub speedup: f64,
@@ -162,15 +182,18 @@ where
         config.threads,
         |q| {
             let schema = solver.solve(&inputs, q)?;
-            let routes = routes_of(schema.reducers(), weights.len());
-            let metrics = execute(weights, &routes, schema.reducer_count(), q, &config.cluster);
+            let loads = schema
+                .reducers()
+                .iter()
+                .map(|r| Ok((r.len() as u64, side_weight(weights, r)?)));
+            let cost = price(weights, loads, q, &config.cluster)?;
             Ok(CandidatePlan {
                 q,
                 reducers: schema.reducer_count(),
                 communication: schema.communication_cost(&inputs),
-                makespan: metrics.total_seconds(),
-                speedup: metrics.speedup(),
-                max_load: metrics.max_reducer_load(),
+                makespan: cost.makespan,
+                speedup: cost.speedup,
+                max_load: cost.max_load,
             })
         },
     )?;
@@ -207,7 +230,7 @@ where
         .max(q_min);
     bounds::x2y_feasible(&inst, q_min)?;
 
-    // Concatenate both sides into one routed-blob job: X ids first.
+    // One map task per input, X inputs first, as the engine job runs them.
     let mut weights: Vec<Weight> = x_weights.to_vec();
     weights.extend_from_slice(y_weights);
 
@@ -216,29 +239,18 @@ where
         config.threads,
         |q| {
             let schema = solver.solve(&inst, q)?;
-            let mut routes: Vec<Vec<usize>> = vec![Vec::new(); weights.len()];
-            for (rid, r) in schema.reducers().iter().enumerate() {
-                for &xi in &r.x {
-                    routes[xi as usize].push(rid);
-                }
-                for &yi in &r.y {
-                    routes[x_weights.len() + yi as usize].push(rid);
-                }
-            }
-            let metrics = execute(
-                &weights,
-                &routes,
-                schema.reducer_count(),
-                q,
-                &config.cluster,
-            );
+            let loads = schema.reducers().iter().map(|r| {
+                let weight = side_weight(x_weights, &r.x)? + side_weight(y_weights, &r.y)?;
+                Ok(((r.x.len() + r.y.len()) as u64, weight))
+            });
+            let cost = price(&weights, loads, q, &config.cluster)?;
             Ok(CandidatePlan {
                 q,
                 reducers: schema.reducer_count(),
                 communication: schema.communication_cost(&inst),
-                makespan: metrics.total_seconds(),
-                speedup: metrics.speedup(),
-                max_load: metrics.max_reducer_load(),
+                makespan: cost.makespan,
+                speedup: cost.speedup,
+                max_load: cost.max_load,
             })
         },
     )?;
@@ -326,16 +338,6 @@ fn sweep(lo: Weight, hi: Weight, n: usize) -> Vec<Weight> {
     qs
 }
 
-fn routes_of(reducers: &[Vec<u32>], n_inputs: usize) -> Vec<Vec<usize>> {
-    let mut routes = vec![Vec::new(); n_inputs];
-    for (rid, r) in reducers.iter().enumerate() {
-        for &id in r {
-            routes[id as usize].push(rid);
-        }
-    }
-    routes
-}
-
 fn select(frontier: Vec<CandidatePlan>, objective: Objective) -> Result<Plan, SchemaError> {
     assert!(!frontier.is_empty(), "sweep always yields one candidate");
     let best = match objective {
@@ -367,7 +369,249 @@ fn select(frontier: Vec<CandidatePlan>, objective: Objective) -> Result<Plan, Sc
     Ok(Plan { best, frontier })
 }
 
-// --- blob execution (composition of core + simmr) -------------------------
+// --- the cost model -------------------------------------------------------
+
+/// What the cost model reports for one schema.
+struct Cost {
+    makespan: f64,
+    speedup: f64,
+    max_load: Weight,
+}
+
+/// Summed weight of the inputs `ids` names; an id outside `weights` is the
+/// solver's error, reported rather than indexed.
+fn side_weight(weights: &[Weight], ids: &[InputId]) -> Result<Weight, SchemaError> {
+    ids.iter()
+        .map(|&id| {
+            weights
+                .get(id as usize)
+                .copied()
+                .ok_or(SchemaError::UnknownInput { id })
+        })
+        .sum()
+}
+
+/// Prices a schema on the cost model of [`Job::run`] without running it.
+///
+/// `map_weights` holds one map task per input, in input order. `loads`
+/// yields each reducer's `(replicas, summed weight)`, in reducer order.
+/// Every replica is one shuffled record of its input's weight plus the
+/// `u64` reducer key [`DirectRouter`] routes by, so a reducer's task reads
+/// `replicas × key + weight` bytes. A reducer over `q` is a
+/// [`SchemaError::CapacityExceeded`], as the engine's
+/// [`CapacityPolicy::Enforce`] would report it.
+fn price(
+    map_weights: &[Weight],
+    loads: impl Iterator<Item = Result<(u64, Weight), SchemaError>>,
+    q: Weight,
+    cluster: &ClusterConfig,
+) -> Result<Cost, SchemaError> {
+    let key_bytes = 0u64.size_bytes();
+    let mut reducers = 0usize;
+    let mut max_load: Weight = 0;
+    // Bytes each nonempty reducer's task reads, in reducer order.
+    let mut task_bytes: Vec<u64> = Vec::new();
+    for (reducer, load) in loads.enumerate() {
+        let (replicas, weight) = load?;
+        if weight > q {
+            return Err(SchemaError::CapacityExceeded {
+                reducer,
+                load: weight,
+                capacity: q,
+            });
+        }
+        reducers += 1;
+        max_load = max_load.max(weight);
+        if replicas > 0 {
+            task_bytes.push(replicas * key_bytes + weight);
+        }
+    }
+    if reducers == 0 {
+        // Nothing to run: the engine's figures for an empty job.
+        let idle = JobMetrics::default();
+        return Ok(Cost {
+            makespan: idle.total_seconds(),
+            speedup: idle.speedup(),
+            max_load: 0,
+        });
+    }
+
+    let map_costs: Vec<TaskCost> = map_weights
+        .iter()
+        .map(|&w| TaskCost(cluster.map_task_seconds(w)))
+        .collect();
+    let map = Schedule::lpt(&map_costs, cluster.workers);
+    // The serial reduce time sums task costs in reducer order, exactly as
+    // the engine's schedule does; f64 addition is not associative.
+    let reduce_work: f64 = task_bytes
+        .iter()
+        .map(|&b| cluster.reduce_task_seconds(b))
+        .sum();
+    let bytes_shuffled: u64 = task_bytes.iter().sum();
+    // LPT consumes tasks longest first and workers only ever see the cost
+    // sequence, so any permutation of the tasks yields the same makespan
+    // bits. Handing it the tasks already in descending-bytes order (which
+    // is descending-cost order for any positive rate) turns its own sort
+    // into one linear pass over a presorted slice, instead of an
+    // O(n log n) float sort through an index.
+    task_bytes.sort_unstable_by(|a, b| b.cmp(a));
+    let reduce_costs: Vec<TaskCost> = task_bytes
+        .iter()
+        .map(|&b| TaskCost(cluster.reduce_task_seconds(b)))
+        .collect();
+    let reduce = Schedule::lpt(&reduce_costs, cluster.workers);
+
+    // Fill the fields `Job::run` fills, in its order, so makespan and
+    // speedup come out of the engine's own formulas.
+    let shuffle_seconds = cluster.shuffle_seconds(bytes_shuffled);
+    let metrics = JobMetrics {
+        map_makespan: map.makespan,
+        shuffle_seconds,
+        reduce_makespan: reduce.makespan,
+        serial_seconds: map.total_work + reduce_work + shuffle_seconds,
+        ..JobMetrics::default()
+    };
+    Ok(Cost {
+        makespan: metrics.total_seconds(),
+        speedup: metrics.speedup(),
+        max_load,
+    })
+}
+
+// --- engine execution (the cost model's referee) ---------------------------
+
+impl CandidatePlan {
+    /// Checks this candidate's cost-model figures against an engine run of
+    /// the same schema ([`execute_a2a`] / [`execute_x2y`]): makespan and
+    /// speedup must match bit for bit, and so must the largest reducer
+    /// load.
+    pub fn check_engine(&self, metrics: &JobMetrics) -> Result<(), CostModelMismatch> {
+        let checks = [
+            ("makespan", self.makespan, metrics.total_seconds()),
+            ("speedup", self.speedup, metrics.speedup()),
+            (
+                "max_load",
+                self.max_load as f64,
+                metrics.max_reducer_load() as f64,
+            ),
+        ];
+        for (metric, model, engine) in checks {
+            if model.to_bits() != engine.to_bits() {
+                return Err(CostModelMismatch {
+                    q: self.q,
+                    metric,
+                    model,
+                    engine,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// An engine run whose figures differ from the planner's cost model.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostModelMismatch {
+    /// The capacity whose schema was executed.
+    pub q: Weight,
+    /// Which figure differs: `makespan`, `speedup` or `max_load`.
+    pub metric: &'static str,
+    /// The cost model's value.
+    pub model: f64,
+    /// The engine's value.
+    pub engine: f64,
+}
+
+impl std::fmt::Display for CostModelMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "engine run at q = {} disagrees with the cost model on {}: model {:?}, engine {:?}",
+            self.q, self.metric, self.model, self.engine
+        )
+    }
+}
+
+impl std::error::Error for CostModelMismatch {}
+
+/// Runs an A2A schema over `weights` through the engine under `cluster`,
+/// enforcing capacity `q`: every input is shipped, at its weight, to each
+/// reducer the schema names it in, and the reducers do nothing. Every
+/// engine knob of `cluster` applies. A schema without reducers has nothing
+/// to run and yields [`JobMetrics::default`].
+///
+/// # Panics
+///
+/// If the schema names an input outside `weights`.
+pub fn execute_a2a(
+    weights: &[Weight],
+    schema: &MappingSchema,
+    q: Weight,
+    cluster: &ClusterConfig,
+) -> Result<JobMetrics, SimError> {
+    let members = schema
+        .reducers()
+        .iter()
+        .map(|r| r.iter().map(|&id| id as usize).collect());
+    execute(weights, members, q, cluster)
+}
+
+/// Runs an X2Y schema through the engine, as [`execute_a2a`] does: the
+/// job's inputs are the X inputs, then the Y inputs.
+///
+/// # Panics
+///
+/// If the schema names an input outside its side's weights.
+pub fn execute_x2y(
+    x_weights: &[Weight],
+    y_weights: &[Weight],
+    schema: &X2ySchema,
+    q: Weight,
+    cluster: &ClusterConfig,
+) -> Result<JobMetrics, SimError> {
+    let mut weights = x_weights.to_vec();
+    weights.extend_from_slice(y_weights);
+    let members = schema.reducers().iter().map(|r| {
+        let x = r.x.iter().map(|&id| {
+            assert!((id as usize) < x_weights.len(), "unknown X input {id}");
+            id as usize
+        });
+        let y = r.y.iter().map(|&id| x_weights.len() + id as usize);
+        x.chain(y).collect()
+    });
+    execute(&weights, members, q, cluster)
+}
+
+/// One engine job: reducer `r` receives every input `members` lists for it.
+fn execute(
+    weights: &[Weight],
+    members: impl ExactSizeIterator<Item = Vec<usize>>,
+    q: Weight,
+    cluster: &ClusterConfig,
+) -> Result<JobMetrics, SimError> {
+    let n_reducers = members.len();
+    if n_reducers == 0 {
+        return Ok(JobMetrics::default());
+    }
+    let mut blobs: Vec<Blob> = weights
+        .iter()
+        .map(|&bytes| Blob {
+            bytes,
+            targets: Vec::new(),
+        })
+        .collect();
+    for (rid, ids) in members.enumerate() {
+        for id in ids {
+            blobs[id].targets.push(rid);
+        }
+    }
+    Ok(
+        Job::new(Replicate, Absorb, DirectRouter, n_reducers, cluster.clone())
+            .capacity(CapacityPolicy::Enforce(q))
+            .run(&blobs)?
+            .metrics,
+    )
+}
 
 #[derive(Clone, Hash)]
 struct Blob {
@@ -421,37 +665,11 @@ impl Reducer for Absorb {
     fn reduce(&self, _: &u64, _: &[SizedPayload], _: &mut Vec<()>) {}
 }
 
-fn execute(
-    weights: &[Weight],
-    routes: &[Vec<usize>],
-    n_reducers: usize,
-    q: Weight,
-    cluster: &ClusterConfig,
-) -> JobMetrics {
-    if n_reducers == 0 {
-        return JobMetrics::default();
-    }
-    let blobs: Vec<Blob> = weights
-        .iter()
-        .zip(routes)
-        .map(|(&bytes, targets)| Blob {
-            bytes,
-            targets: targets.clone(),
-        })
-        .collect();
-    Job::new(Replicate, Absorb, DirectRouter, n_reducers, cluster.clone())
-        .capacity(CapacityPolicy::Enforce(q))
-        .run(&blobs)
-        .expect("valid schemas cannot violate capacity")
-        .metrics
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mrassign_binpack::FitPolicy;
     use mrassign_core::solver;
-    use mrassign_simmr::{FinalizeMode, ShuffleMode};
 
     fn mixed_weights(m: usize) -> Vec<u64> {
         (0..m as u64).map(|i| 50 + (i * 13) % 150).collect()
@@ -636,31 +854,81 @@ mod tests {
         assert!(grid.frontier.iter().all(|c| c.max_load <= c.q));
     }
 
-    #[test]
-    fn shuffle_mode_does_not_change_the_plan() {
-        let weights = mixed_weights(80);
-        let mk = |shuffle, finalize_mode| {
-            plan_a2a(
-                &weights,
-                &PlannerConfig {
-                    cluster: ClusterConfig {
-                        shuffle,
-                        finalize_mode,
-                        ..ClusterConfig::default()
-                    },
-                    ..PlannerConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        let reference = mk(ShuffleMode::Materialized, FinalizeMode::Static);
-        assert_eq!(reference, mk(ShuffleMode::Streaming, FinalizeMode::Static));
-        // The overlapped engine too: Plan is built from the simulated
-        // (deterministic) metrics, so neither pipelining nor its finalize
-        // scheduler can move the frontier.
-        for finalize in FinalizeMode::ALL {
-            assert_eq!(reference, mk(ShuffleMode::Pipelined, finalize));
+    /// A solver that ignores `q` and returns one fixed schema, whatever
+    /// the capacity: the planner must reject it, not panic.
+    struct Fixed<S>(S);
+
+    impl AssignmentSolver for Fixed<MappingSchema> {
+        type Instance = InputSet;
+        type Schema = MappingSchema;
+        fn name(&self) -> &'static str {
+            "fixed"
         }
+        fn kind(&self) -> solver::SolverKind {
+            solver::SolverKind::A2a
+        }
+        fn solve(&self, _: &InputSet, _: Weight) -> Result<MappingSchema, SchemaError> {
+            Ok(self.0.clone())
+        }
+    }
+
+    impl AssignmentSolver for Fixed<X2ySchema> {
+        type Instance = X2yInstance;
+        type Schema = X2ySchema;
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+        fn kind(&self) -> solver::SolverKind {
+            solver::SolverKind::X2y
+        }
+        fn solve(&self, _: &X2yInstance, _: Weight) -> Result<X2ySchema, SchemaError> {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn over_capacity_schema_is_an_error_not_a_panic() {
+        let weights = [30, 40, 50];
+        // Reducer 1 holds everything: 120 > q at every candidate below it.
+        let schema = MappingSchema::from_reducers(vec![vec![0, 1], vec![0, 1, 2]]);
+        let cfg = PlannerConfig {
+            q_max: Some(100),
+            ..with_threads(2)
+        };
+        assert_eq!(
+            plan_a2a_with(Fixed(schema), &weights, &cfg),
+            Err(SchemaError::CapacityExceeded {
+                reducer: 1,
+                load: 120,
+                capacity: 90,
+            })
+        );
+
+        let mut schema = X2ySchema::new();
+        schema.push_reducer(vec![0, 1], vec![0]);
+        assert_eq!(
+            plan_x2y_with(Fixed(schema), &[30, 40], &[50], &cfg),
+            Err(SchemaError::CapacityExceeded {
+                reducer: 0,
+                load: 120,
+                capacity: 90,
+            })
+        );
+    }
+
+    #[test]
+    fn unknown_input_is_an_error_not_a_panic() {
+        let schema = MappingSchema::from_reducers(vec![vec![0, 7]]);
+        assert_eq!(
+            plan_a2a_with(Fixed(schema), &[1, 2], &with_threads(1)),
+            Err(SchemaError::UnknownInput { id: 7 })
+        );
+        let mut schema = X2ySchema::new();
+        schema.push_reducer(vec![0], vec![3]);
+        assert_eq!(
+            plan_x2y_with(Fixed(schema), &[1], &[2], &with_threads(1)),
+            Err(SchemaError::UnknownInput { id: 3 })
+        );
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! mrassign x2y  --x xs.txt --y ys.txt --q 200 [--algo <x2y solver>] [--budget <nodes>] [--routes]
 //! mrassign plan --weights weights.txt [--workers 16] [--candidates 10]
 //!               [--objective makespan|comm:<slowdown>] [--algo <a2a solver>] [--budget <nodes>]
-//!               [--threads <n>] [--shuffle materialized|streaming|pipelined]
-//!               [--finalize static|stealing] [--retries <n>] [--faults seed:7,rate:0.05]
-//!               [--memory-budget <bytes>]
+//!               [--threads <n>] [--execute [engine knobs]]
 //! mrassign dag  [--workload marginals|skewjoin] [--jobs 4] [--tenants 2] [--pool 2]
 //!               [--rows 200] [--seed 42] [--repeat 1] [--stage-cache <bytes>]
-//!               [engine knobs as for plan]
+//!               [--threads <n>] [engine knobs]
+//!
+//! engine knobs: [--shuffle materialized|streaming|pipelined] [--finalize static|stealing]
+//!               [--retries <n>] [--faults seed:7,rate:0.05] [--memory-budget <bytes>]
+//!               [--checkpoint-dir <dir>]
 //! ```
 //!
 //! Solver names come from the registry in `mrassign_core::solver`
@@ -19,8 +21,18 @@
 //! branch-and-bound optimal solver; `--budget` caps its node count (it is
 //! rejected with any other solver) and the summary gains a `search:` line
 //! with the node/prune/memo statistics and whether optimality was
-//! certified. `--threads` fans the plan command's q-frontier sweep across
-//! OS threads, `--shuffle` picks the engine's shuffle mode (`pipelined`
+//! certified.
+//!
+//! `mrassign plan` prices every candidate capacity with the simulated
+//! cluster's cost model and runs no engine job; `--threads` fans its
+//! q-frontier sweep across OS threads. `--execute` then re-solves the
+//! chosen capacity, runs that one schema on the engine with the engine
+//! knobs, and fails unless the run's makespan, speedup and max load match
+//! the cost model's bit for bit. An engine knob without `--execute` is a
+//! flag error.
+//!
+//! The engine knobs change how a job executes, never what it computes:
+//! `--shuffle` picks the engine's shuffle mode (`pipelined`
 //! runs the overlapped stage-graph engine), and `--finalize` picks the
 //! pipelined engine's finalize scheduler (`stealing` lets idle consumer
 //! threads take completed partitions off hot ones) — none of them
@@ -28,7 +40,7 @@
 //! injects a seeded transient-fault schedule (keys: `seed`, `rate`,
 //! `map-rate`, `reduce-rate`) and `--retries` sets the per-task retry
 //! budget; because retries replay deterministic tasks, these don't
-//! change the plan either — they exist to smoke the fault-tolerance
+//! change any output either — they exist to smoke the fault-tolerance
 //! layer end to end. `--memory-budget` caps the bytes of sorted run data
 //! each pipelined consumer group may buffer before sealing runs to disk
 //! (the out-of-core shuffle path); like every engine knob it trades
@@ -73,7 +85,7 @@ use mrassign::core::{
 use mrassign::dag::marginals::{marginals_graph, run_marginals_chained, MarginalsConfig};
 use mrassign::dag::{DagMetrics, JobServer};
 use mrassign::joins::{run_skew_join_chained, skew_join_graph, SkewDagConfig};
-use mrassign::planner::{plan_a2a_with, Objective, PlannerConfig};
+use mrassign::planner::{execute_a2a, plan_a2a_with, Objective, PlannerConfig};
 use mrassign::simmr::{ClusterConfig, FaultPlan, FinalizeMode, ShuffleMode};
 use mrassign::workloads::cube::{generate_cube, CubeSpec};
 use mrassign::workloads::{generate_relation_pair, RelationSpec, SizeDistribution};
@@ -99,18 +111,19 @@ usage:
   mrassign a2a  --weights <file> --q <n> [--algo <a2a solver>] [--budget <nodes>] [--routes]
   mrassign x2y  --x <file> --y <file> --q <n> [--algo <x2y solver>] [--budget <nodes>] [--routes]
   mrassign plan --weights <file> [--workers <n>] [--candidates <n>] [--objective makespan|comm:<slowdown>]
-                [--algo <a2a solver>] [--budget <nodes>] [--threads <n>] [--shuffle materialized|streaming|pipelined]
-                [--finalize static|stealing] [--retries <n>] [--faults <spec>]
-                [--memory-budget <bytes>] [--checkpoint-dir <dir>]
+                [--algo <a2a solver>] [--budget <nodes>] [--threads <n>] [--execute [engine knobs]]
   mrassign dag  [--workload marginals|skewjoin] [--jobs <n>] [--tenants <n>] [--pool <n>] [--rows <n>]
-                [--seed <s>] [--repeat <n>] [--stage-cache <bytes>] [--threads <n>]
-                [--shuffle materialized|streaming|pipelined] [--finalize static|stealing]
-                [--retries <n>] [--faults <spec>] [--memory-budget <bytes>] [--checkpoint-dir <dir>]
+                [--seed <s>] [--repeat <n>] [--stage-cache <bytes>] [--threads <n>] [engine knobs]
+
+engine knobs: [--shuffle materialized|streaming|pipelined] [--finalize static|stealing]
+              [--retries <n>] [--faults <spec>] [--memory-budget <bytes>] [--checkpoint-dir <dir>]
 
 distribution specs: const:<w> | uniform:<lo>:<hi> | zipf:<ranks>:<exp>:<max> | bimodal:<small>:<big>:<frac> | boundary:<q>
 a2a solvers: auto | one-reducer | grouping | pairing | bigsmall | bigsmall-shared | exact
 x2y solvers: auto | one-reducer | grid | grid-optimized | bighandling | exact
 --budget applies to --algo exact only: positive branch-and-bound node cap, e.g. --budget 2000000
+plan prices each candidate with the simulated cluster's cost model; --execute runs the chosen schema
+         on the engine with the engine knobs and fails unless the run matches the cost model
 --faults injects seeded transient faults: comma-separated seed:<u64>, rate:<f64>, map-rate:<f64>, reduce-rate:<f64>,
          kill-map:<i[+i...]>, kill-reduce:<i[+i...]> (kill lists abort the process mid-task to exercise resume)
 --memory-budget caps buffered shuffle bytes per consumer group (pipelined engine spills sorted runs to disk above it)
@@ -436,52 +449,32 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<String, String> {
     if let Some(budget) = parse_budget(flags, algo.name())? {
         algo = a2a::A2aAlgorithm::Exact(budget);
     }
-    let shuffle = parse_shuffle(
-        flags
-            .get("shuffle")
-            .map(String::as_str)
-            .unwrap_or("materialized"),
-    )?;
-    let finalize_mode = parse_finalize(
-        flags
-            .get("finalize")
-            .map(String::as_str)
-            .unwrap_or("static"),
-    )?;
     let threads: usize = match flags.get("threads") {
         Some(s) => parse_num(s, "a thread count")?,
         None => PlannerConfig::default().threads,
     };
-    let retry_budget: u32 = match flags.get("retries") {
-        Some(s) => parse_num(s, "a retry budget")?,
-        None => ClusterConfig::default().retry_budget,
-    };
-    let fault_plan: Option<FaultPlan> = flags.get("faults").map(|s| s.parse()).transpose()?;
-    let memory_budget: Option<u64> = flags
-        .get("memory-budget")
-        .map(|s| parse_num(s, "a memory budget in bytes"))
-        .transpose()?;
-    let checkpoint_dir: Option<PathBuf> = flags.get("checkpoint-dir").map(PathBuf::from);
-
-    let cluster = ClusterConfig {
-        workers,
-        shuffle,
-        finalize_mode,
-        retry_budget,
-        fault_plan,
-        memory_budget,
-        checkpoint_dir,
-        ..ClusterConfig::default()
-    };
-    // Reject bad knob combinations (e.g. a fault rate outside [0, 1])
-    // here, where they map to a flag error, rather than mid-plan.
-    cluster.validate().map_err(|e| e.to_string())?;
+    let execute = flags.contains_key("execute");
+    if !execute {
+        if let Some(knob) = ENGINE_KNOBS.iter().find(|k| flags.contains_key(**k)) {
+            return Err(format!(
+                "--{knob} is an engine knob: the plan is priced by the cost model and runs no \
+                 engine job; add --execute to run the chosen schema on the engine"
+            ));
+        }
+    }
+    let cluster = parse_engine_knobs(
+        flags,
+        ClusterConfig {
+            workers,
+            ..ClusterConfig::default()
+        },
+    )?;
 
     let plan = plan_a2a_with(
         algo,
         &weights,
         &PlannerConfig {
-            cluster,
+            cluster: cluster.clone(),
             candidates,
             objective,
             threads,
@@ -506,12 +499,44 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<String, String> {
         "\nrecommended capacity: q = {} ({} reducers, {:.3}s simulated makespan)",
         plan.best.q, plan.best.reducers, plan.best.makespan
     ));
+    if execute {
+        // Re-solve the chosen capacity and run that one schema on the
+        // engine: the engine knobs get exercised, and the run referees
+        // the cost model the sweep priced every candidate with.
+        let q = plan.best.q;
+        let schema = algo
+            .solve(&InputSet::from_weights(weights.clone()), q)
+            .map_err(|e| e.to_string())?;
+        let metrics = execute_a2a(&weights, &schema, q, &cluster).map_err(|e| e.to_string())?;
+        plan.best
+            .check_engine(&metrics)
+            .map_err(|e| e.to_string())?;
+        out.push_str(&format!(
+            "\nengine run:     q = {q} ({} records, {} bytes shuffled) matches the cost model",
+            metrics.records_shuffled, metrics.bytes_shuffled
+        ));
+    }
     Ok(out)
 }
 
-/// Parses the engine knobs shared by every stage of a DAG run into one
-/// `ClusterConfig` (validated so bad combinations map to flag errors).
-fn parse_engine_cluster(flags: &HashMap<String, String>) -> Result<ClusterConfig, String> {
+/// The flags that pick how an engine job executes — never what it
+/// computes.
+const ENGINE_KNOBS: [&str; 6] = [
+    "shuffle",
+    "finalize",
+    "retries",
+    "faults",
+    "memory-budget",
+    "checkpoint-dir",
+];
+
+/// Applies the [`ENGINE_KNOBS`] given in `flags` to `cluster` and
+/// validates the result, so bad values and combinations map to flag
+/// errors rather than failing mid-run.
+fn parse_engine_knobs(
+    flags: &HashMap<String, String>,
+    cluster: ClusterConfig,
+) -> Result<ClusterConfig, String> {
     let shuffle = parse_shuffle(
         flags
             .get("shuffle")
@@ -524,13 +549,9 @@ fn parse_engine_cluster(flags: &HashMap<String, String>) -> Result<ClusterConfig
             .map(String::as_str)
             .unwrap_or("static"),
     )?;
-    let map_threads: usize = match flags.get("threads") {
-        Some(s) => parse_num(s, "a thread count")?,
-        None => ClusterConfig::default().map_threads,
-    };
     let retry_budget: u32 = match flags.get("retries") {
         Some(s) => parse_num(s, "a retry budget")?,
-        None => ClusterConfig::default().retry_budget,
+        None => cluster.retry_budget,
     };
     let fault_plan: Option<FaultPlan> = flags.get("faults").map(|s| s.parse()).transpose()?;
     let memory_budget: Option<u64> = flags
@@ -541,15 +562,30 @@ fn parse_engine_cluster(flags: &HashMap<String, String>) -> Result<ClusterConfig
     let cluster = ClusterConfig {
         shuffle,
         finalize_mode,
-        map_threads,
         retry_budget,
         fault_plan,
         memory_budget,
         checkpoint_dir,
-        ..ClusterConfig::default()
+        ..cluster
     };
     cluster.validate().map_err(|e| e.to_string())?;
     Ok(cluster)
+}
+
+/// Parses the engine knobs shared by every stage of a DAG run into one
+/// `ClusterConfig` (validated so bad combinations map to flag errors).
+fn parse_engine_cluster(flags: &HashMap<String, String>) -> Result<ClusterConfig, String> {
+    let map_threads: usize = match flags.get("threads") {
+        Some(s) => parse_num(s, "a thread count")?,
+        None => ClusterConfig::default().map_threads,
+    };
+    parse_engine_knobs(
+        flags,
+        ClusterConfig {
+            map_threads,
+            ..ClusterConfig::default()
+        },
+    )
 }
 
 /// One job line of the `dag` summary: output size, wall time, queueing
@@ -964,37 +1000,40 @@ mod tests {
         let body: String = (0..50).map(|i| format!("{}\n", 30 + i % 20)).collect();
         std::fs::write(&path, body).unwrap();
         let base = |extra: &[&str]| {
-            let mut args: Vec<String> = [
-                "plan",
-                "--weights",
-                path.to_str().unwrap(),
-                "--candidates",
-                "5",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+            let mut args: Vec<String> = ["plan", "--weights", path.to_str().unwrap()]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
             args.extend(extra.iter().map(|s| s.to_string()));
             run(&args).unwrap()
         };
+        // One candidate pins the executed schema to the feasibility floor
+        // (1 225 reducers); with more, the cost model picks one reducer.
+        let executed =
+            |extra: &[&str]| base(&[&["--candidates", "1", "--execute"], extra].concat());
         // The plan is identical whatever knobs are set: determinism is the
-        // whole point of both flags.
-        let reference = base(&[]);
-        assert_eq!(reference, base(&["--threads", "4"]));
-        assert_eq!(reference, base(&["--shuffle", "streaming"]));
-        assert_eq!(reference, base(&["--shuffle", "pipelined"]));
+        // whole point of both flags. `--execute` appends the engine run's
+        // line to the same plan, and no engine knob moves either.
+        let plan = base(&["--candidates", "5"]);
+        assert_eq!(plan, base(&["--candidates", "5", "--threads", "4"]));
+        assert!(base(&["--candidates", "5", "--execute"]).starts_with(&plan));
+        let reference = executed(&[]);
+        assert!(reference.starts_with(&base(&["--candidates", "1"])));
+        assert!(reference.contains("matches the cost model"), "{reference}");
+        assert_eq!(reference, executed(&["--shuffle", "streaming"]));
+        assert_eq!(reference, executed(&["--shuffle", "pipelined"]));
         assert_eq!(
             reference,
-            base(&["--shuffle", "pipelined", "--finalize", "stealing"])
+            executed(&["--shuffle", "pipelined", "--finalize", "stealing"])
         );
-        assert_eq!(reference, base(&["--finalize", "static"]));
+        assert_eq!(reference, executed(&["--finalize", "static"]));
         assert_eq!(
             reference,
-            base(&["--threads", "2", "--shuffle", "streaming"])
+            executed(&["--threads", "2", "--shuffle", "streaming"])
         );
         assert_eq!(
             reference,
-            base(&["--threads", "4", "--shuffle", "pipelined"])
+            executed(&["--threads", "4", "--shuffle", "pipelined"])
         );
         std::fs::remove_file(path).unwrap();
     }
@@ -1015,7 +1054,7 @@ mod tests {
                 "--weights",
                 path.to_str().unwrap(),
                 "--candidates",
-                "5",
+                "1",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -1023,12 +1062,14 @@ mod tests {
             args.extend(extra.iter().map(|s| s.to_string()));
             run(&args)
         };
-        let reference = base(&[]).unwrap();
+        // One candidate: the executed schema is the 1 225-reducer floor.
+        let reference = base(&["--execute"]).unwrap();
         // A tight budget on the pipelined engine spills heavily and still
-        // produces the identical q-frontier.
+        // produces the identical q-frontier and engine run.
         assert_eq!(
             reference,
             base(&[
+                "--execute",
                 "--shuffle",
                 "pipelined",
                 "--finalize",
@@ -1038,19 +1079,22 @@ mod tests {
             ])
             .unwrap()
         );
-        assert_eq!(reference, base(&["--memory-budget", "1048576"]).unwrap());
-        let err = base(&["--memory-budget", "0"]).unwrap_err();
+        assert_eq!(
+            reference,
+            base(&["--execute", "--memory-budget", "1048576"]).unwrap()
+        );
+        let err = base(&["--execute", "--memory-budget", "0"]).unwrap_err();
         assert!(err.contains("memory_budget"), "{err}");
-        let err = base(&["--memory-budget", "lots"]).unwrap_err();
+        let err = base(&["--execute", "--memory-budget", "lots"]).unwrap_err();
         assert!(err.contains("memory budget"), "{err}");
         std::fs::remove_file(path).unwrap();
     }
 
-    /// The fault-injection knobs never change the plan: retries replay
-    /// deterministic tasks until the faulted run is bit-identical to the
-    /// clean one, so the q-frontier (which is derived from job metrics)
-    /// must not move — under either engine. Typos in either flag fail
-    /// loudly instead of silently planning fault-free.
+    /// The fault-injection knobs never change the executed plan: retries
+    /// replay deterministic tasks until the faulted run is bit-identical
+    /// to the clean one, so the engine run still matches the cost model —
+    /// under either engine. Typos in either flag fail loudly instead of
+    /// silently running fault-free.
     #[test]
     fn plan_under_injected_faults_matches_the_clean_plan() {
         let dir = std::env::temp_dir().join("mrassign-cli-test");
@@ -1064,7 +1108,7 @@ mod tests {
                 "--weights",
                 path.to_str().unwrap(),
                 "--candidates",
-                "5",
+                "1",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -1072,14 +1116,23 @@ mod tests {
             args.extend(extra.iter().map(|s| s.to_string()));
             run(&args)
         };
-        let reference = base(&[]).unwrap();
+        // One candidate: the executed schema is the 1 225-reducer floor.
+        let reference = base(&["--execute"]).unwrap();
         assert_eq!(
             reference,
-            base(&["--retries", "3", "--faults", "seed:7,rate:0.05"]).unwrap()
+            base(&[
+                "--execute",
+                "--retries",
+                "3",
+                "--faults",
+                "seed:7,rate:0.05"
+            ])
+            .unwrap()
         );
         assert_eq!(
             reference,
             base(&[
+                "--execute",
                 "--shuffle",
                 "pipelined",
                 "--finalize",
@@ -1091,15 +1144,45 @@ mod tests {
             ])
             .unwrap()
         );
-        let err = base(&["--faults", "seed:7,rat:0.05"]).unwrap_err();
+        let err = base(&["--execute", "--faults", "seed:7,rat:0.05"]).unwrap_err();
         assert!(err.contains("rat"), "typoed key must be named: {err}");
-        let err = base(&["--faults", "seed:7,rate:1.5"]).unwrap_err();
+        let err = base(&["--execute", "--faults", "seed:7,rate:1.5"]).unwrap_err();
         assert!(
             err.contains("[0, 1]"),
             "out-of-range rate must be rejected: {err}"
         );
-        let err = base(&["--retries", "many"]).unwrap_err();
+        let err = base(&["--execute", "--retries", "many"]).unwrap_err();
         assert!(err.contains("retry budget"), "{err}");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// The plan is priced by the cost model, so an engine knob without
+    /// `--execute` would do nothing: it is a flag error naming both the
+    /// knob and `--execute`, whatever its value.
+    #[test]
+    fn plan_rejects_engine_knobs_without_execute() {
+        let dir = std::env::temp_dir().join("mrassign-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plan-no-execute-weights.txt");
+        let body: String = (0..20).map(|i| format!("{}\n", 30 + i % 20)).collect();
+        std::fs::write(&path, body).unwrap();
+        for knob in [
+            &["--shuffle", "pipelined"][..],
+            &["--finalize", "stealing"][..],
+            &["--retries", "3"][..],
+            &["--faults", "seed:7,rate:0.05"][..],
+            &["--memory-budget", "0"][..],
+            &["--checkpoint-dir", "unused"][..],
+        ] {
+            let mut args: Vec<String> = ["plan", "--weights", path.to_str().unwrap()]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            args.extend(knob.iter().map(|s| s.to_string()));
+            let err = run(&args).unwrap_err();
+            assert!(err.contains(knob[0]), "knob must be named: {err}");
+            assert!(err.contains("--execute"), "{err}");
+        }
         std::fs::remove_file(path).unwrap();
     }
 
